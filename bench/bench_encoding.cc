@@ -22,87 +22,73 @@ std::vector<Point> BenchPoints(size_t n) {
   return GenerateDataset(spec);
 }
 
-std::vector<Timestamp> Times(const std::vector<Point>& points) {
-  std::vector<Timestamp> ts;
-  ts.reserve(points.size());
-  for (const Point& p : points) ts.push_back(p.t);
-  return ts;
-}
-
-std::vector<Value> Values(const std::vector<Point>& points) {
-  std::vector<Value> vs;
-  vs.reserve(points.size());
-  for (const Point& p : points) vs.push_back(p.v);
-  return vs;
-}
-
 void BM_Ts2DiffEncode(benchmark::State& state) {
-  std::vector<Timestamp> ts = Times(BenchPoints(100000));
+  std::vector<Point> points = BenchPoints(100000);
   size_t encoded_size = 0;
   for (auto _ : state) {
     std::string buf;
-    benchmark::DoNotOptimize(EncodeTs2Diff(ts, &buf));
+    benchmark::DoNotOptimize(EncodeTs2Diff(points.data(), points.size(), &buf));
     encoded_size = buf.size();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ts.size()));
+                          static_cast<int64_t>(points.size()));
   state.counters["bytes_per_point"] =
-      static_cast<double>(encoded_size) / static_cast<double>(ts.size());
+      static_cast<double>(encoded_size) / static_cast<double>(points.size());
 }
 BENCHMARK(BM_Ts2DiffEncode);
 
 void BM_Ts2DiffDecode(benchmark::State& state) {
-  std::vector<Timestamp> ts = Times(BenchPoints(100000));
+  std::vector<Point> points = BenchPoints(100000);
   std::string buf;
-  benchmark::DoNotOptimize(EncodeTs2Diff(ts, &buf));
+  benchmark::DoNotOptimize(EncodeTs2Diff(points.data(), points.size(), &buf));
   for (auto _ : state) {
     std::string_view view = buf;
-    std::vector<Timestamp> out;
-    benchmark::DoNotOptimize(DecodeTs2Diff(&view, ts.size(), &out));
+    std::vector<Point> out(points.size());
+    benchmark::DoNotOptimize(DecodeTs2Diff(&view, out.size(), out.data()));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ts.size()));
+                          static_cast<int64_t>(points.size()));
 }
 BENCHMARK(BM_Ts2DiffDecode);
 
 void BM_GorillaEncode(benchmark::State& state) {
-  std::vector<Value> values = Values(BenchPoints(100000));
+  std::vector<Point> points = BenchPoints(100000);
   size_t encoded_size = 0;
   for (auto _ : state) {
     std::string buf;
-    benchmark::DoNotOptimize(EncodeGorilla(values, &buf));
+    benchmark::DoNotOptimize(EncodeGorilla(points.data(), points.size(), &buf));
     encoded_size = buf.size();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(values.size()));
+                          static_cast<int64_t>(points.size()));
   state.counters["bytes_per_point"] =
-      static_cast<double>(encoded_size) / static_cast<double>(values.size());
+      static_cast<double>(encoded_size) / static_cast<double>(points.size());
 }
 BENCHMARK(BM_GorillaEncode);
 
 void BM_GorillaDecode(benchmark::State& state) {
-  std::vector<Value> values = Values(BenchPoints(100000));
+  std::vector<Point> points = BenchPoints(100000);
   std::string buf;
-  benchmark::DoNotOptimize(EncodeGorilla(values, &buf));
+  benchmark::DoNotOptimize(EncodeGorilla(points.data(), points.size(), &buf));
   for (auto _ : state) {
-    std::vector<Value> out;
-    benchmark::DoNotOptimize(DecodeGorilla(buf, values.size(), &out));
+    std::vector<Point> out(points.size());
+    benchmark::DoNotOptimize(DecodeGorilla(buf, out.size(), out.data()));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(values.size()));
+                          static_cast<int64_t>(points.size()));
 }
 BENCHMARK(BM_GorillaDecode);
 
 void BM_PlainDecode(benchmark::State& state) {
-  std::vector<Value> values = Values(BenchPoints(100000));
+  std::vector<Point> points = BenchPoints(100000);
   std::string buf;
-  benchmark::DoNotOptimize(EncodePlainValues(values, &buf));
+  benchmark::DoNotOptimize(EncodePlainValues(points.data(), points.size(), &buf));
   for (auto _ : state) {
-    std::vector<Value> out;
-    benchmark::DoNotOptimize(DecodePlainValues(buf, values.size(), &out));
+    std::vector<Point> out(points.size());
+    benchmark::DoNotOptimize(DecodePlainValues(buf, out.size(), out.data()));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(values.size()));
+                          static_cast<int64_t>(points.size()));
 }
 BENCHMARK(BM_PlainDecode);
 

@@ -28,21 +28,7 @@ Result<uint64_t> BitReader::ReadBits(int bits) {
   if (static_cast<size_t>(bits) > bits_remaining()) {
     return Status::Corruption("bit stream exhausted");
   }
-  uint64_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    size_t byte = pos_ / 8;
-    int offset = static_cast<int>(pos_ % 8);
-    uint8_t bit =
-        (static_cast<uint8_t>(data_[byte]) >> (7 - offset)) & 1;
-    out = (out << 1) | bit;
-    ++pos_;
-  }
-  return out;
-}
-
-Result<bool> BitReader::ReadBit() {
-  TSVIZ_ASSIGN_OR_RETURN(uint64_t bit, ReadBits(1));
-  return bit != 0;
+  return Read(bits);
 }
 
 }  // namespace tsviz

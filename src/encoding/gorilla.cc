@@ -23,15 +23,15 @@ double BitsToDouble(uint64_t bits) {
 
 }  // namespace
 
-Status EncodeGorilla(const std::vector<Value>& values, std::string* dst) {
-  if (values.empty()) return Status::OK();
+Status EncodeGorilla(const Point* points, size_t count, std::string* dst) {
+  if (count == 0) return Status::OK();
   BitWriter writer;
-  uint64_t prev = DoubleToBits(values[0]);
+  uint64_t prev = DoubleToBits(points[0].v);
   writer.WriteBits(prev, 64);
   int prev_leading = -1;   // leading zeros of the previous XOR window
   int prev_trailing = -1;  // trailing zeros of the previous XOR window
-  for (size_t i = 1; i < values.size(); ++i) {
-    uint64_t bits = DoubleToBits(values[i]);
+  for (size_t i = 1; i < count; ++i) {
+    uint64_t bits = DoubleToBits(points[i].v);
     uint64_t x = bits ^ prev;
     prev = bits;
     if (x == 0) {
@@ -64,45 +64,33 @@ Status EncodeGorilla(const std::vector<Value>& values, std::string* dst) {
   return Status::OK();
 }
 
-Status DecodeGorilla(std::string_view src, size_t count,
-                     std::vector<Value>* out) {
-  out->clear();
+Status DecodeGorilla(std::string_view src, size_t count, Point* out) {
   if (count == 0) return Status::OK();
-  out->reserve(count);
   BitReader reader(src);
-  TSVIZ_ASSIGN_OR_RETURN(uint64_t prev, reader.ReadBits(64));
-  out->push_back(BitsToDouble(prev));
-  int prev_leading = -1;
-  int prev_trailing = -1;
+  uint64_t prev = reader.Read(64);
+  out[0].v = BitsToDouble(prev);
+  // The current XOR window: payload width (0 before the first window) and
+  // trailing zeros.
+  int meaningful = 0;
+  int trailing = 0;
   for (size_t i = 1; i < count; ++i) {
-    TSVIZ_ASSIGN_OR_RETURN(bool changed, reader.ReadBit());
-    if (!changed) {
-      out->push_back(BitsToDouble(prev));
-      continue;
-    }
-    TSVIZ_ASSIGN_OR_RETURN(bool new_window, reader.ReadBit());
-    int leading;
-    int meaningful;
-    if (new_window) {
-      TSVIZ_ASSIGN_OR_RETURN(uint64_t lead_bits, reader.ReadBits(5));
-      TSVIZ_ASSIGN_OR_RETURN(uint64_t len_bits, reader.ReadBits(6));
-      leading = static_cast<int>(lead_bits);
-      meaningful = len_bits == 0 ? 64 : static_cast<int>(len_bits);
-      prev_leading = leading;
-      prev_trailing = 64 - leading - meaningful;
-      if (prev_trailing < 0) return Status::Corruption("bad gorilla window");
-    } else {
-      if (prev_leading < 0) {
+    if (reader.Read(1) != 0) {
+      if (reader.Read(1) != 0) {
+        // Control '11': new window = 5-bit leading count + 6-bit length.
+        const uint64_t header = reader.Read(11);
+        meaningful = header & 63 ? static_cast<int>(header & 63) : 64;
+        trailing = 64 - static_cast<int>(header >> 6) - meaningful;
+        if (trailing < 0) return Status::Corruption("bad gorilla window");
+      } else if (meaningful == 0) {
         return Status::Corruption("gorilla reuse before any window");
       }
-      leading = prev_leading;
-      meaningful = 64 - prev_leading - prev_trailing;
+      prev ^= reader.Read(meaningful) << trailing;
     }
-    TSVIZ_ASSIGN_OR_RETURN(uint64_t payload, reader.ReadBits(meaningful));
-    uint64_t x = payload << prev_trailing;
-    prev ^= x;
-    out->push_back(BitsToDouble(prev));
+    out[i].v = BitsToDouble(prev);
   }
+  // Reads past the end return zeros, so a truncated block is only detected
+  // here; the values written so far are garbage and the caller drops them.
+  if (reader.exhausted()) return Status::Corruption("bit stream exhausted");
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -15,13 +14,13 @@ namespace tsviz {
 // its predecessor; identical values cost 1 bit, values with a shared
 // leading/trailing-zero window cost a few bits plus the meaningful payload.
 
-// Appends the encoding of `values` to dst.
-Status EncodeGorilla(const std::vector<Value>& values, std::string* dst);
+// Appends the encoding of points[0..count).v to dst.
+Status EncodeGorilla(const Point* points, size_t count, std::string* dst);
 
-// Decodes exactly `count` values from `src` (the whole buffer belongs to this
-// block; bit padding at the tail is ignored).
-Status DecodeGorilla(std::string_view src, size_t count,
-                     std::vector<Value>* out);
+// Decodes exactly `count` values from `src` into out[0..count).v (the whole
+// buffer belongs to this block; bit padding at the tail is ignored).
+// Timestamp fields are left untouched.
+Status DecodeGorilla(std::string_view src, size_t count, Point* out);
 
 }  // namespace tsviz
 

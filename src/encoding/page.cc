@@ -13,27 +13,20 @@ Status EncodePage(const Point* points, size_t count, TsCodec ts_codec,
   if (count == 0) return Status::InvalidArgument("empty page");
   const size_t start = dst->size();
 
-  std::vector<Timestamp> timestamps(count);
-  std::vector<Value> values(count);
-  for (size_t i = 0; i < count; ++i) {
-    timestamps[i] = points[i].t;
-    values[i] = points[i].v;
-  }
-
   std::string body;
   PutVarint64(&body, count);
   body.push_back(static_cast<char>(ts_codec));
   body.push_back(static_cast<char>(value_codec));
-  PutFixed64(&body, static_cast<uint64_t>(timestamps.front()));
-  PutFixed64(&body, static_cast<uint64_t>(timestamps.back()));
+  PutFixed64(&body, static_cast<uint64_t>(points[0].t));
+  PutFixed64(&body, static_cast<uint64_t>(points[count - 1].t));
 
   std::string ts_block;
   switch (ts_codec) {
     case TsCodec::kPlain:
-      TSVIZ_RETURN_IF_ERROR(EncodePlainTimestamps(timestamps, &ts_block));
+      TSVIZ_RETURN_IF_ERROR(EncodePlainTimestamps(points, count, &ts_block));
       break;
     case TsCodec::kTs2Diff:
-      TSVIZ_RETURN_IF_ERROR(EncodeTs2Diff(timestamps, &ts_block));
+      TSVIZ_RETURN_IF_ERROR(EncodeTs2Diff(points, count, &ts_block));
       break;
   }
   PutLengthPrefixed(&body, ts_block);
@@ -41,13 +34,13 @@ Status EncodePage(const Point* points, size_t count, TsCodec ts_codec,
   std::string value_block;
   switch (value_codec) {
     case ValueCodec::kPlain:
-      TSVIZ_RETURN_IF_ERROR(EncodePlainValues(values, &value_block));
+      TSVIZ_RETURN_IF_ERROR(EncodePlainValues(points, count, &value_block));
       break;
     case ValueCodec::kGorilla:
-      TSVIZ_RETURN_IF_ERROR(EncodeGorilla(values, &value_block));
+      TSVIZ_RETURN_IF_ERROR(EncodeGorilla(points, count, &value_block));
       break;
     case ValueCodec::kRle:
-      TSVIZ_RETURN_IF_ERROR(EncodeRle(values, &value_block));
+      TSVIZ_RETURN_IF_ERROR(EncodeRle(points, count, &value_block));
       break;
   }
   PutLengthPrefixed(&body, value_block);
@@ -57,13 +50,41 @@ Status EncodePage(const Point* points, size_t count, TsCodec ts_codec,
 
   if (info != nullptr) {
     info->count = static_cast<uint32_t>(count);
-    info->min_t = timestamps.front();
-    info->max_t = timestamps.back();
+    info->min_t = points[0].t;
+    info->max_t = points[count - 1].t;
     info->offset = static_cast<uint32_t>(start);
     info->length = static_cast<uint32_t>(dst->size() - start);
   }
   return Status::OK();
 }
+
+namespace {
+
+Status DecodeColumns(TsCodec ts_codec, std::string_view ts_block,
+                     ValueCodec value_codec, std::string_view value_block,
+                     size_t count, Point* out) {
+  switch (ts_codec) {
+    case TsCodec::kPlain:
+      TSVIZ_RETURN_IF_ERROR(DecodePlainTimestamps(&ts_block, count, out));
+      break;
+    case TsCodec::kTs2Diff:
+      TSVIZ_RETURN_IF_ERROR(DecodeTs2Diff(&ts_block, count, out));
+      break;
+    default:
+      return Status::Corruption("unknown timestamp codec");
+  }
+  switch (value_codec) {
+    case ValueCodec::kPlain:
+      return DecodePlainValues(value_block, count, out);
+    case ValueCodec::kGorilla:
+      return DecodeGorilla(value_block, count, out);
+    case ValueCodec::kRle:
+      return DecodeRle(value_block, count, out);
+  }
+  return Status::Corruption("unknown value codec");
+}
+
+}  // namespace
 
 Status DecodePage(std::string_view src, std::vector<Point>* out) {
   if (src.size() < 8) return Status::Corruption("page too small");
@@ -88,51 +109,24 @@ Status DecodePage(std::string_view src, std::vector<Point>* out) {
   TSVIZ_ASSIGN_OR_RETURN(std::string_view value_block,
                          GetLengthPrefixed(&body));
 
-  std::vector<Timestamp> timestamps;
-  switch (ts_codec) {
-    case TsCodec::kPlain: {
-      std::string_view cursor = ts_block;
-      TSVIZ_RETURN_IF_ERROR(DecodePlainTimestamps(&cursor, count,
-                                                  &timestamps));
-      break;
-    }
-    case TsCodec::kTs2Diff: {
-      std::string_view cursor = ts_block;
-      TSVIZ_RETURN_IF_ERROR(DecodeTs2Diff(&cursor, count, &timestamps));
-      break;
-    }
-    default:
-      return Status::Corruption("unknown timestamp codec");
-  }
-
-  std::vector<Value> values;
-  switch (value_codec) {
-    case ValueCodec::kPlain:
-      TSVIZ_RETURN_IF_ERROR(DecodePlainValues(value_block, count, &values));
-      break;
-    case ValueCodec::kGorilla:
-      TSVIZ_RETURN_IF_ERROR(DecodeGorilla(value_block, count, &values));
-      break;
-    case ValueCodec::kRle:
-      TSVIZ_RETURN_IF_ERROR(DecodeRle(value_block, count, &values));
-      break;
-    default:
-      return Status::Corruption("unknown value codec");
-  }
-
-  if (timestamps.size() != count || values.size() != count || count == 0) {
+  // Both timestamp codecs spend at least one byte per point, so a count the
+  // block cannot hold is rejected before any output is allocated for it.
+  if (count == 0 || count > ts_block.size()) {
     return Status::Corruption("page block size mismatch");
   }
-  if (timestamps.front() != static_cast<Timestamp>(min_raw) ||
-      timestamps.back() != static_cast<Timestamp>(max_raw)) {
-    return Status::Corruption("page time bounds mismatch");
-  }
 
-  out->reserve(out->size() + count);
-  for (size_t i = 0; i < count; ++i) {
-    out->push_back(Point{timestamps[i], values[i]});
+  // Decode both columns straight into the tail of *out; on any failure the
+  // tail is dropped again, so *out is unchanged.
+  const size_t base = out->size();
+  out->resize(base + count);
+  Status status = DecodeColumns(ts_codec, ts_block, value_codec, value_block,
+                                count, out->data() + base);
+  if (status.ok() && ((*out)[base].t != static_cast<Timestamp>(min_raw) ||
+                      out->back().t != static_cast<Timestamp>(max_raw))) {
+    status = Status::Corruption("page time bounds mismatch");
   }
-  return Status::OK();
+  if (!status.ok()) out->resize(base);
+  return status;
 }
 
 }  // namespace tsviz

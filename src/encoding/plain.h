@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -11,16 +10,17 @@
 namespace tsviz {
 
 // Uncompressed little-endian codecs; the baseline for the encoding bench and
-// the fallback when compression is disabled in StoreConfig.
+// the fallback when compression is disabled in StoreConfig. Each encodes or
+// decodes one column (t or v) of points[0..count).
 
-Status EncodePlainTimestamps(const std::vector<Timestamp>& timestamps,
+Status EncodePlainTimestamps(const Point* points, size_t count,
                              std::string* dst);
-Status DecodePlainTimestamps(std::string_view* src, size_t count,
-                             std::vector<Timestamp>* out);
+// Advances *src past the `count` timestamps it decodes; like ts2diff, fails
+// unless they are strictly increasing.
+Status DecodePlainTimestamps(std::string_view* src, size_t count, Point* out);
 
-Status EncodePlainValues(const std::vector<Value>& values, std::string* dst);
-Status DecodePlainValues(std::string_view src, size_t count,
-                         std::vector<Value>* out);
+Status EncodePlainValues(const Point* points, size_t count, std::string* dst);
+Status DecodePlainValues(std::string_view src, size_t count, Point* out);
 
 }  // namespace tsviz
 

@@ -22,13 +22,12 @@ double BitsToDouble(uint64_t bits) {
 
 }  // namespace
 
-Status EncodeRle(const std::vector<Value>& values, std::string* dst) {
+Status EncodeRle(const Point* points, size_t count, std::string* dst) {
   size_t i = 0;
-  while (i < values.size()) {
-    uint64_t bits = DoubleToBits(values[i]);
+  while (i < count) {
+    uint64_t bits = DoubleToBits(points[i].v);
     size_t run = 1;
-    while (i + run < values.size() &&
-           DoubleToBits(values[i + run]) == bits) {
+    while (i + run < count && DoubleToBits(points[i + run].v) == bits) {
       ++run;
     }
     PutVarint64(dst, run);
@@ -38,17 +37,18 @@ Status EncodeRle(const std::vector<Value>& values, std::string* dst) {
   return Status::OK();
 }
 
-Status DecodeRle(std::string_view src, size_t count,
-                 std::vector<Value>* out) {
-  out->clear();
-  out->reserve(count);
-  while (out->size() < count) {
+Status DecodeRle(std::string_view src, size_t count, Point* out) {
+  size_t filled = 0;
+  while (filled < count) {
     TSVIZ_ASSIGN_OR_RETURN(uint64_t run, GetVarint64(&src));
-    if (run == 0 || run > count - out->size()) {
+    if (run == 0 || run > count - filled) {
       return Status::Corruption("rle run overflows value count");
     }
     TSVIZ_ASSIGN_OR_RETURN(uint64_t bits, GetFixed64(&src));
-    out->insert(out->end(), run, BitsToDouble(bits));
+    const Value v = BitsToDouble(bits);
+    for (const size_t end = filled + run; filled < end; ++filled) {
+      out[filled].v = v;
+    }
   }
   return Status::OK();
 }

@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -15,10 +14,10 @@ namespace tsviz {
 // that hold a value for long stretches (the RcvTime shape); degrades to
 // 9 bytes/point on noisy data, so Gorilla remains the default.
 
-Status EncodeRle(const std::vector<Value>& values, std::string* dst);
-
-Status DecodeRle(std::string_view src, size_t count,
-                 std::vector<Value>* out);
+// Encodes points[0..count).v; decodes exactly `count` values into
+// out[0..count).v, leaving the timestamp fields untouched.
+Status EncodeRle(const Point* points, size_t count, std::string* dst);
+Status DecodeRle(std::string_view src, size_t count, Point* out);
 
 }  // namespace tsviz
 

@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -17,13 +16,13 @@ namespace tsviz {
 // CPU cost while storage stays compact — the asymmetry the paper's
 // merge-free design exploits.
 
-// Appends the encoding of `timestamps` (must be strictly increasing) to dst.
-Status EncodeTs2Diff(const std::vector<Timestamp>& timestamps,
-                     std::string* dst);
+// Appends the encoding of points[0..count).t (must be strictly increasing)
+// to dst.
+Status EncodeTs2Diff(const Point* points, size_t count, std::string* dst);
 
-// Decodes exactly `count` timestamps from the front of *src, advancing it.
-Status DecodeTs2Diff(std::string_view* src, size_t count,
-                     std::vector<Timestamp>* out);
+// Decodes exactly `count` timestamps from the front of *src into
+// out[0..count).t, advancing *src. Value fields are left untouched.
+Status DecodeTs2Diff(std::string_view* src, size_t count, Point* out);
 
 }  // namespace tsviz
 

@@ -14,16 +14,30 @@ void PutVarint32(std::string* dst, uint32_t value) {
   PutVarint64(dst, value);
 }
 
-Result<uint64_t> GetVarint64(std::string_view* src) {
-  uint64_t value = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (src->empty()) return Status::Corruption("truncated varint");
-    uint8_t byte = static_cast<uint8_t>(src->front());
-    src->remove_prefix(1);
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
+const char* GetVarint64PtrSlow(const char* p, const char* limit,
+                               uint64_t* value) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63 && p < limit; shift += 7) {
+    const uint8_t byte = static_cast<uint8_t>(*p++);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      return p;
+    }
   }
-  return Status::Corruption("varint too long");
+  return nullptr;
+}
+
+Result<uint64_t> GetVarint64(std::string_view* src) {
+  uint64_t value;
+  const char* end = src->data() + src->size();
+  const char* next = GetVarint64Ptr(src->data(), end, &value);
+  if (next == nullptr) {
+    return Status::Corruption(src->size() >= 10 ? "varint too long"
+                                                : "truncated varint");
+  }
+  src->remove_prefix(static_cast<size_t>(next - src->data()));
+  return value;
 }
 
 Result<uint32_t> GetVarint32(std::string_view* src) {
@@ -56,10 +70,7 @@ Result<uint32_t> GetFixed32(std::string_view* src) {
 
 Result<uint64_t> GetFixed64(std::string_view* src) {
   if (src->size() < 8) return Status::Corruption("truncated fixed64");
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<uint8_t>((*src)[i])) << (8 * i);
-  }
+  const uint64_t value = DecodeFixed64(src->data());
   src->remove_prefix(8);
   return value;
 }

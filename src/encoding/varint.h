@@ -1,7 +1,9 @@
 #ifndef TSVIZ_ENCODING_VARINT_H_
 #define TSVIZ_ENCODING_VARINT_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -15,6 +17,20 @@ namespace tsviz {
 
 void PutVarint64(std::string* dst, uint64_t value);
 void PutVarint32(std::string* dst, uint32_t value);
+
+// Decodes one varint from [p, limit) into *value and returns the byte after
+// it, or nullptr on truncated or over-long (more than 10 bytes) input. The
+// one-byte case is inline because decoders call this once per value.
+const char* GetVarint64PtrSlow(const char* p, const char* limit,
+                               uint64_t* value);
+inline const char* GetVarint64Ptr(const char* p, const char* limit,
+                                  uint64_t* value) {
+  if (p < limit && (static_cast<uint8_t>(*p) & 0x80) == 0) {
+    *value = static_cast<uint8_t>(*p);
+    return p + 1;
+  }
+  return GetVarint64PtrSlow(p, limit, value);
+}
 
 // Reads one varint from the front of *src, advancing it. Fails with
 // kCorruption on truncated or over-long input.
@@ -44,6 +60,16 @@ void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
 Result<uint32_t> GetFixed32(std::string_view* src);
 Result<uint64_t> GetFixed64(std::string_view* src);
+
+// The little-endian fixed64 at p[0..8); the caller has checked the bounds.
+inline uint64_t DecodeFixed64(const char* p) {
+  uint64_t value;
+  std::memcpy(&value, p, sizeof(value));
+  if constexpr (std::endian::native == std::endian::big) {
+    value = __builtin_bswap64(value);
+  }
+  return value;
+}
 
 // Length-prefixed byte string.
 void PutLengthPrefixed(std::string* dst, std::string_view value);

@@ -139,8 +139,9 @@ std::vector<net::Response> SqlServer::ExecuteBatch(
     std::lock_guard<std::mutex> lock(write_mutex_);
     results = sql::ExecuteInsertBatch(db_, lines, context);
   }
-  const double per_statement_millis =
-      results.empty() ? 0.0 : timer.ElapsedMillis() / results.size();
+  // All replies of the batch become ready together, so each statement's
+  // latency is the whole batch's.
+  const double batch_millis = timer.ElapsedMillis();
 
   std::vector<net::Response> responses;
   responses.reserve(results.size());
@@ -155,7 +156,7 @@ std::vector<net::Response> SqlServer::ExecuteBatch(
                 (result.status().retryable() ? " (retryable)" : "") + "\n";
     }
     payload += "\n";  // blank-line terminator
-    query_millis.Observe(per_statement_millis);
+    query_millis.Observe(batch_millis);
     responses.push_back(net::Response{std::move(payload), /*close=*/false});
   }
   return responses;

@@ -1,7 +1,7 @@
 #include "sql/result_set.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "common/logging.h"
 
@@ -12,17 +12,33 @@ void ResultSet::AddRow(std::vector<Cell> cells) {
   rows_.push_back(std::move(cells));
 }
 
+void ResultSet::AppendCell(const Cell& cell, std::string* out) {
+  if (const auto* text = std::get_if<std::string>(&cell)) {
+    out->append(*text);
+    return;
+  }
+  if (std::holds_alternative<std::monostate>(cell)) {
+    out->append("null");
+    return;
+  }
+  // to_chars in general format at precision 10 is specified to print what
+  // printf's "%.10g" prints, without the format-string parse and the
+  // temporary string per cell. 24 bytes fit any double at that precision
+  // ("-1.234567891e-308") and any int64.
+  char buf[24];
+  const auto [end, ec] =
+      std::holds_alternative<int64_t>(cell)
+          ? std::to_chars(buf, buf + sizeof(buf), std::get<int64_t>(cell))
+          : std::to_chars(buf, buf + sizeof(buf), std::get<double>(cell),
+                          std::chars_format::general, 10);
+  TSVIZ_CHECK(ec == std::errc());
+  out->append(buf, end);
+}
+
 std::string ResultSet::CellToString(const Cell& cell) {
-  if (std::holds_alternative<std::monostate>(cell)) return "null";
-  if (std::holds_alternative<int64_t>(cell)) {
-    return std::to_string(std::get<int64_t>(cell));
-  }
-  if (std::holds_alternative<std::string>(cell)) {
-    return std::get<std::string>(cell);
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", std::get<double>(cell));
-  return buf;
+  std::string out;
+  AppendCell(cell, &out);
+  return out;
 }
 
 std::string ResultSet::ToString(size_t max_rows) const {
@@ -74,7 +90,7 @@ std::string ResultSet::ToCsv() const {
   for (const auto& row : rows_) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out += ',';
-      out += CellToString(row[c]);
+      AppendCell(row[c], &out);
     }
     out += '\n';
   }

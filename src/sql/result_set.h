@@ -40,6 +40,9 @@ class ResultSet {
   static std::string CellToString(const Cell& cell);
 
  private:
+  // Appends the text of one cell (what CellToString returns) to *out.
+  static void AppendCell(const Cell& cell, std::string* out);
+
   std::vector<std::string> columns_;
   std::vector<std::vector<Cell>> rows_;
 };

@@ -4,12 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <tuple>
 
 #include "common/random.h"
+#include "encoding/gorilla.h"
 #include "encoding/page.h"
+#include "encoding/plain.h"
+#include "encoding/rle.h"
+#include "encoding/ts2diff.h"
+#include "encoding/varint.h"
 #include "m4/m4_udf.h"
 #include "read/series_reader.h"
 #include "storage/chunk_metadata.h"
@@ -150,6 +159,210 @@ TEST_P(RandomBytesFuzz, ParsersRejectGarbage) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBytesFuzz,
                          ::testing::Range(uint64_t{1}, uint64_t{21}));
+
+// A page's worth of points that drives every branch of every codec:
+// irregular cadences (multi-byte delta-of-deltas), repeated values (Gorilla
+// '0' and RLE runs), small steps (window reuse) and jumps (new windows).
+std::vector<Point> CodecFuzzPoints() {
+  Rng rng(77);
+  std::vector<Point> points;
+  Timestamp t = -5000;
+  double v = 12.5;
+  for (int i = 0; i < 96; ++i) {
+    t += rng.Uniform(1, i % 7 == 0 ? 1000000 : 20);
+    switch (rng.Uniform(0, 3)) {
+      case 0:
+        break;  // repeat
+      case 1:
+        v += 0.25;
+        break;
+      case 2:
+        v = rng.Gaussian(0, 1e9);
+        break;
+      default:
+        v = static_cast<double>(rng.Uniform(-3, 3));
+    }
+    points.push_back(Point{t, v});
+  }
+  return points;
+}
+
+// `bytes` copied into an exact-size heap block, so a sanitizer flags any
+// read past its end (a std::string's spare capacity would hide it).
+class ExactCopy {
+ public:
+  explicit ExactCopy(std::string_view bytes)
+      : data_(new char[bytes.size()]), size_(bytes.size()) {
+    if (size_ > 0) std::memcpy(data_.get(), bytes.data(), size_);
+  }
+  std::string_view view() const { return {data_.get(), size_}; }
+
+ private:
+  std::unique_ptr<char[]> data_;
+  size_t size_;
+};
+
+// Decodes one column block into out[0..count).
+using ColumnDecoder =
+    std::function<Status(std::string_view, size_t, Point*)>;
+
+struct ColumnCodec {
+  const char* name;
+  std::function<Status(const std::vector<Point>&, std::string*)> encode;
+  ColumnDecoder decode;
+  bool timestamps;  // decodes the t column (else the v column)
+};
+
+std::vector<ColumnCodec> ColumnCodecs() {
+  return {
+      {"ts2diff",
+       [](const std::vector<Point>& p, std::string* dst) {
+         return EncodeTs2Diff(p.data(), p.size(), dst);
+       },
+       [](std::string_view src, size_t n, Point* out) {
+         return DecodeTs2Diff(&src, n, out);
+       },
+       true},
+      {"plain_ts",
+       [](const std::vector<Point>& p, std::string* dst) {
+         return EncodePlainTimestamps(p.data(), p.size(), dst);
+       },
+       [](std::string_view src, size_t n, Point* out) {
+         return DecodePlainTimestamps(&src, n, out);
+       },
+       true},
+      {"gorilla",
+       [](const std::vector<Point>& p, std::string* dst) {
+         return EncodeGorilla(p.data(), p.size(), dst);
+       },
+       DecodeGorilla, false},
+      {"rle",
+       [](const std::vector<Point>& p, std::string* dst) {
+         return EncodeRle(p.data(), p.size(), dst);
+       },
+       DecodeRle, false},
+      {"plain_values",
+       [](const std::vector<Point>& p, std::string* dst) {
+         return EncodePlainValues(p.data(), p.size(), dst);
+       },
+       DecodePlainValues, false},
+  };
+}
+
+// Every codec, every truncation length of its block: the decoder sees an
+// exact-size buffer and must report a non-OK Status for every proper
+// prefix and the original column for the whole block. This is where an
+// over-read by the word-at-a-time loads would show.
+TEST(CodecFuzz, TruncatedBlocksAtEveryByte) {
+  const std::vector<Point> points = CodecFuzzPoints();
+  for (const ColumnCodec& codec : ColumnCodecs()) {
+    SCOPED_TRACE(codec.name);
+    std::string block;
+    ASSERT_OK(codec.encode(points, &block));
+    for (size_t len = 0; len <= block.size(); ++len) {
+      const ExactCopy copy(std::string_view(block).substr(0, len));
+      std::vector<Point> out(points.size());
+      const Status status = codec.decode(copy.view(), out.size(), out.data());
+      if (len < block.size()) {
+        EXPECT_FALSE(status.ok()) << "prefix of " << len << " bytes";
+        continue;
+      }
+      ASSERT_OK(status);
+      for (size_t i = 0; i < points.size(); ++i) {
+        if (codec.timestamps) {
+          ASSERT_EQ(out[i].t, points[i].t) << i;
+        } else {
+          ASSERT_EQ(std::memcmp(&out[i].v, &points[i].v, sizeof(double)), 0)
+              << i;
+        }
+      }
+    }
+  }
+}
+
+class PageFuzz
+    : public ::testing::TestWithParam<std::tuple<TsCodec, ValueCodec>> {
+ protected:
+  std::string EncodedPage() const {
+    auto [ts_codec, value_codec] = GetParam();
+    std::string blob;
+    EXPECT_OK(EncodePage(points_.data(), points_.size(), ts_codec,
+                         value_codec, &blob, nullptr));
+    return blob;
+  }
+
+  // Decodes `bytes` from an exact-size copy after a sentinel point: the
+  // result must be a non-OK Status that leaves the output untouched, or
+  // exactly the original points.
+  void ExpectCleanOutcome(std::string_view bytes) const {
+    const ExactCopy copy(bytes);
+    const Point sentinel{-1, -1.0};
+    std::vector<Point> out = {sentinel};
+    const Status status = DecodePage(copy.view(), &out);
+    if (!status.ok()) {
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out[0], sentinel);
+      return;
+    }
+    ASSERT_EQ(out.size(), points_.size() + 1);
+    EXPECT_TRUE(std::equal(points_.begin(), points_.end(), out.begin() + 1));
+  }
+
+  const std::vector<Point> points_ = CodecFuzzPoints();
+};
+
+TEST_P(PageFuzz, TruncatedAtEveryByte) {
+  const std::string blob = EncodedPage();
+  ExpectCleanOutcome(blob);
+  for (size_t len = 0; len < blob.size(); ++len) {
+    SCOPED_TRACE(len);
+    ExpectCleanOutcome(std::string_view(blob).substr(0, len));
+  }
+}
+
+TEST_P(PageFuzz, EveryBitFlipped) {
+  std::string blob = EncodedPage();
+  for (size_t bit = 0; bit < blob.size() * 8; ++bit) {
+    SCOPED_TRACE(bit);
+    blob[bit / 8] = static_cast<char>(blob[bit / 8] ^ (0x80 >> (bit % 8)));
+    ExpectCleanOutcome(blob);
+    blob[bit / 8] = static_cast<char>(blob[bit / 8] ^ (0x80 >> (bit % 8)));
+  }
+}
+
+// The checksum stops every flip above before a decoder runs. Re-sealing the
+// page after each flip hands the damaged blocks to the decoders themselves:
+// a flip there may decode to different but well-formed points, so the
+// check is that decoding fails cleanly or yields a page that keeps the
+// format's invariants.
+TEST_P(PageFuzz, ResealedBitFlipsReachTheDecoders) {
+  const std::string blob = EncodedPage();
+  std::string body = blob.substr(0, blob.size() - 8);
+  for (size_t bit = 0; bit < body.size() * 8; ++bit) {
+    SCOPED_TRACE(bit);
+    body[bit / 8] = static_cast<char>(body[bit / 8] ^ (0x80 >> (bit % 8)));
+    std::string sealed = body;
+    PutFixed64(&sealed, Fnv1a64(body));
+    const ExactCopy copy(sealed);
+    std::vector<Point> out;
+    if (DecodePage(copy.view(), &out).ok()) {
+      ASSERT_FALSE(out.empty());
+      for (size_t i = 1; i < out.size(); ++i) {
+        ASSERT_LT(out[i - 1].t, out[i].t) << i;
+      }
+    } else {
+      EXPECT_TRUE(out.empty());
+    }
+    body[bit / 8] = static_cast<char>(body[bit / 8] ^ (0x80 >> (bit % 8)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, PageFuzz,
+    ::testing::Values(std::make_tuple(TsCodec::kTs2Diff, ValueCodec::kGorilla),
+                      std::make_tuple(TsCodec::kPlain, ValueCodec::kGorilla),
+                      std::make_tuple(TsCodec::kTs2Diff, ValueCodec::kRle),
+                      std::make_tuple(TsCodec::kTs2Diff, ValueCodec::kPlain)));
 
 }  // namespace
 }  // namespace tsviz

@@ -13,16 +13,16 @@ namespace tsviz {
 namespace {
 
 void ExpectRoundTrip(const std::vector<Value>& values) {
+  const std::vector<Point> points = ValueColumn(values);
   std::string buf;
-  ASSERT_OK(EncodeGorilla(values, &buf));
-  std::vector<Value> decoded;
-  ASSERT_OK(DecodeGorilla(buf, values.size(), &decoded));
-  ASSERT_EQ(decoded.size(), values.size());
+  ASSERT_OK(EncodeGorilla(points.data(), points.size(), &buf));
+  std::vector<Point> decoded(values.size());
+  ASSERT_OK(DecodeGorilla(buf, values.size(), decoded.data()));
   for (size_t i = 0; i < values.size(); ++i) {
     if (std::isnan(values[i])) {
-      EXPECT_TRUE(std::isnan(decoded[i])) << "index " << i;
+      EXPECT_TRUE(std::isnan(decoded[i].v)) << "index " << i;
     } else {
-      EXPECT_EQ(decoded[i], values[i]) << "index " << i;
+      EXPECT_EQ(decoded[i].v, values[i]) << "index " << i;
     }
   }
 }
@@ -35,8 +35,9 @@ TEST(GorillaTest, EmptyAndSingle) {
 
 TEST(GorillaTest, ConstantSeriesIsOneBitPerPoint) {
   std::vector<Value> values(10000, 42.5);
+  const std::vector<Point> points = ValueColumn(values);
   std::string buf;
-  ASSERT_OK(EncodeGorilla(values, &buf));
+  ASSERT_OK(EncodeGorilla(points.data(), points.size(), &buf));
   // 8 bytes header + ~1 bit per repeat.
   EXPECT_LT(buf.size(), 8u + 10000 / 8 + 2);
   ExpectRoundTrip(values);
@@ -95,22 +96,23 @@ TEST(GorillaTest, RandomRoundTrip) {
 }
 
 TEST(GorillaTest, TruncatedStreamIsCorruption) {
-  std::vector<Value> values = {1.0, 2.0, 3.0, 4.5, 5.25};
+  const std::vector<Point> points = ValueColumn({1.0, 2.0, 3.0, 4.5, 5.25});
   std::string buf;
-  ASSERT_OK(EncodeGorilla(values, &buf));
-  std::vector<Value> decoded;
+  ASSERT_OK(EncodeGorilla(points.data(), points.size(), &buf));
+  std::vector<Point> decoded(5);
   EXPECT_EQ(
-      DecodeGorilla(std::string_view(buf).substr(0, 9), 5, &decoded).code(),
+      DecodeGorilla(std::string_view(buf).substr(0, 9), 5, decoded.data())
+          .code(),
       StatusCode::kCorruption);
 }
 
 TEST(GorillaTest, DecodingMoreThanEncodedFails) {
-  std::vector<Value> values = {1.0};
+  const std::vector<Point> points = ValueColumn({1.0});
   std::string buf;
-  ASSERT_OK(EncodeGorilla(values, &buf));
-  std::vector<Value> decoded;
+  ASSERT_OK(EncodeGorilla(points.data(), points.size(), &buf));
+  std::vector<Point> decoded(100);
   // Asking for 100 values walks off the end of the bit stream.
-  EXPECT_FALSE(DecodeGorilla(buf, 100, &decoded).ok());
+  EXPECT_FALSE(DecodeGorilla(buf, 100, decoded.data()).ok());
 }
 
 }  // namespace

@@ -13,16 +13,16 @@ namespace tsviz {
 namespace {
 
 void ExpectRoundTrip(const std::vector<Value>& values) {
+  const std::vector<Point> points = ValueColumn(values);
   std::string buf;
-  ASSERT_OK(EncodeRle(values, &buf));
-  std::vector<Value> decoded;
-  ASSERT_OK(DecodeRle(buf, values.size(), &decoded));
-  ASSERT_EQ(decoded.size(), values.size());
+  ASSERT_OK(EncodeRle(points.data(), points.size(), &buf));
+  std::vector<Point> decoded(values.size());
+  ASSERT_OK(DecodeRle(buf, values.size(), decoded.data()));
   for (size_t i = 0; i < values.size(); ++i) {
     if (std::isnan(values[i])) {
-      EXPECT_TRUE(std::isnan(decoded[i]));
+      EXPECT_TRUE(std::isnan(decoded[i].v));
     } else {
-      EXPECT_EQ(decoded[i], values[i]) << i;
+      EXPECT_EQ(decoded[i].v, values[i]) << i;
     }
   }
 }
@@ -34,8 +34,9 @@ TEST(RleTest, EmptyAndSingle) {
 
 TEST(RleTest, ConstantSeriesIsTiny) {
   std::vector<Value> values(100000, 7.25);
+  const std::vector<Point> points = ValueColumn(values);
   std::string buf;
-  ASSERT_OK(EncodeRle(values, &buf));
+  ASSERT_OK(EncodeRle(points.data(), points.size(), &buf));
   EXPECT_LT(buf.size(), 16u);  // one run: varint length + 8 value bytes
   ExpectRoundTrip(values);
 }
@@ -43,8 +44,9 @@ TEST(RleTest, ConstantSeriesIsTiny) {
 TEST(RleTest, AlternatingValuesDegradeGracefully) {
   std::vector<Value> values;
   for (int i = 0; i < 1000; ++i) values.push_back(i % 2);
+  const std::vector<Point> points = ValueColumn(values);
   std::string buf;
-  ASSERT_OK(EncodeRle(values, &buf));
+  ASSERT_OK(EncodeRle(points.data(), points.size(), &buf));
   EXPECT_LE(buf.size(), 1000u * 9);
   ExpectRoundTrip(values);
 }
@@ -70,14 +72,16 @@ TEST(RleTest, RandomRunsRoundTrip) {
 }
 
 TEST(RleTest, CorruptRunLengthRejected) {
+  const std::vector<Point> points = ValueColumn({1.0, 1.0, 1.0});
   std::string buf;
-  ASSERT_OK(EncodeRle({1.0, 1.0, 1.0}, &buf));
-  std::vector<Value> decoded;
+  ASSERT_OK(EncodeRle(points.data(), points.size(), &buf));
+  std::vector<Point> decoded(3);
   // Claiming fewer values than the run holds must fail, not overflow.
-  EXPECT_EQ(DecodeRle(buf, 2, &decoded).code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeRle(buf, 2, decoded.data()).code(),
+            StatusCode::kCorruption);
   // Truncated input fails too.
   EXPECT_FALSE(
-      DecodeRle(std::string_view(buf).substr(0, 3), 3, &decoded).ok());
+      DecodeRle(std::string_view(buf).substr(0, 3), 3, decoded.data()).ok());
 }
 
 TEST(RlePageTest, PageRoundTripWithRleValues) {

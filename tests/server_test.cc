@@ -11,6 +11,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "test_util.h"
 
 namespace tsviz {
@@ -154,6 +155,59 @@ TEST_F(ServerTest, QueriesAdvanceServerMetrics) {
   EXPECT_NE(reply.find("server_queries_total"), std::string::npos);
   EXPECT_NE(reply.find("# TYPE server_query_millis histogram"),
             std::string::npos);
+}
+
+// A pipelined burst of single-point INSERTs runs as one coalesced batch.
+// Every reply of the batch becomes ready when the batch finishes, so each
+// statement observes the batch's whole latency, not the batch mean.
+TEST_F(ServerTest, CoalescedInsertsEachObserveTheBatchLatency) {
+  constexpr int kStatements = 32;
+  obs::Histogram& latency = obs::GetHistogram("server_query_millis");
+  obs::Counter& accumulated = obs::GetCounter("batch_net_accumulated_total");
+  const uint64_t count_before = latency.count();
+  const double sum_before = latency.sum();
+  std::vector<uint64_t> buckets_before;
+  for (size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    buckets_before.push_back(latency.BucketCount(i));
+  }
+  const uint64_t accumulated_before = accumulated.value();
+
+  std::string burst;
+  for (int i = 1; i <= kStatements; ++i) {
+    burst += "INSERT INTO burst VALUES (" + std::to_string(i) + ", 1.5)\n";
+  }
+  TestClient client(server_->port());
+  ASSERT_EQ(::send(client.fd(), burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+  for (int i = 0; i < kStatements; ++i) {
+    EXPECT_NE(client.ReadReply().find("burst,1"), std::string::npos) << i;
+  }
+  // One send, one work item: the statements ran as a single batch.
+  ASSERT_EQ(accumulated.value() - accumulated_before, kStatements - 1u);
+
+  EXPECT_EQ(latency.count() - count_before, static_cast<uint64_t>(kStatements));
+  // All observations are the same value: one bucket took all of them.
+  int buckets_hit = 0;
+  for (size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    const uint64_t added = latency.BucketCount(i) - buckets_before[i];
+    if (added == 0) continue;
+    ++buckets_hit;
+    EXPECT_EQ(added, static_cast<uint64_t>(kStatements)) << "bucket " << i;
+  }
+  EXPECT_EQ(buckets_hit, 1);
+  // The flight recorder stamps every statement of the run with the latency
+  // of the coalesced store write. The batch's server-side clock encloses
+  // that write, so every observation is at least that long.
+  const std::vector<obs::RecordedEvent> events =
+      obs::FlightRecorder::Instance().Snapshot(kStatements,
+                                               obs::EventKind::kQuery);
+  ASSERT_EQ(events.size(), static_cast<size_t>(kStatements));
+  const double write_millis = events.front().millis;
+  for (const obs::RecordedEvent& event : events) {
+    EXPECT_EQ(event.millis, write_millis) << event.statement;
+  }
+  EXPECT_GE((latency.sum() - sum_before) / kStatements,
+            write_millis * (1 - 1e-9));
 }
 
 TEST_F(ServerTest, MaintenanceStatementsWorkOverTheWire) {

@@ -80,6 +80,23 @@ inline std::vector<Point> MakeLinearSeries(size_t n, Timestamp start = 0,
   return MakeSeries(n, start, delta, [](size_t i) { return double(i); });
 }
 
+// Points carrying one column for the codec tests: `values` with timestamps
+// 0, 1, ... for the value codecs, `timestamps` with zero values for the
+// timestamp codecs.
+inline std::vector<Point> ValueColumn(const std::vector<Value>& values) {
+  std::vector<Point> points(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    points[i] = Point{static_cast<Timestamp>(i), values[i]};
+  }
+  return points;
+}
+
+inline std::vector<Point> TimeColumn(const std::vector<Timestamp>& timestamps) {
+  std::vector<Point> points(timestamps.size());
+  for (size_t i = 0; i < timestamps.size(); ++i) points[i].t = timestamps[i];
+  return points;
+}
+
 // Reads every point of every chunk in the store (pre-merge contents),
 // returning (version, points) pairs; used to drive the reference merge.
 inline std::vector<std::pair<Version, std::vector<Point>>> DumpChunks(

@@ -11,12 +11,13 @@ namespace tsviz {
 namespace {
 
 void ExpectRoundTrip(const std::vector<Timestamp>& ts) {
+  const std::vector<Point> points = TimeColumn(ts);
   std::string buf;
-  ASSERT_OK(EncodeTs2Diff(ts, &buf));
+  ASSERT_OK(EncodeTs2Diff(points.data(), points.size(), &buf));
   std::string_view view = buf;
-  std::vector<Timestamp> decoded;
-  ASSERT_OK(DecodeTs2Diff(&view, ts.size(), &decoded));
-  EXPECT_EQ(decoded, ts);
+  std::vector<Point> decoded(ts.size());
+  ASSERT_OK(DecodeTs2Diff(&view, ts.size(), decoded.data()));
+  EXPECT_EQ(decoded, points);
   EXPECT_TRUE(view.empty());
 }
 
@@ -29,14 +30,15 @@ TEST(Ts2DiffTest, EmptyAndSingle) {
 TEST(Ts2DiffTest, RegularCadenceCompressesToOneByteishPerPoint) {
   std::vector<Timestamp> ts;
   for (int i = 0; i < 10000; ++i) ts.push_back(1600000000000LL + i * 9000LL);
+  const std::vector<Point> points = TimeColumn(ts);
   std::string buf;
-  ASSERT_OK(EncodeTs2Diff(ts, &buf));
+  ASSERT_OK(EncodeTs2Diff(points.data(), points.size(), &buf));
   // first ts (8 bytes) + first delta (2 bytes) + 9998 zero deltas (1 byte).
   EXPECT_LT(buf.size(), 10100u);
   std::string_view view = buf;
-  std::vector<Timestamp> decoded;
-  ASSERT_OK(DecodeTs2Diff(&view, ts.size(), &decoded));
-  EXPECT_EQ(decoded, ts);
+  std::vector<Point> decoded(ts.size());
+  ASSERT_OK(DecodeTs2Diff(&view, ts.size(), decoded.data()));
+  EXPECT_EQ(decoded, points);
 }
 
 TEST(Ts2DiffTest, IrregularWithGaps) {
@@ -60,32 +62,35 @@ TEST(Ts2DiffTest, RandomIncreasingRoundTrip) {
 
 TEST(Ts2DiffTest, RejectsNonIncreasing) {
   std::string buf;
-  EXPECT_EQ(EncodeTs2Diff({10, 10}, &buf).code(),
+  const std::vector<Point> repeated = TimeColumn({10, 10});
+  EXPECT_EQ(EncodeTs2Diff(repeated.data(), repeated.size(), &buf).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(EncodeTs2Diff({10, 5}, &buf).code(),
+  const std::vector<Point> decreasing = TimeColumn({10, 5});
+  EXPECT_EQ(EncodeTs2Diff(decreasing.data(), decreasing.size(), &buf).code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(Ts2DiffTest, TruncatedStreamIsCorruption) {
-  std::vector<Timestamp> ts = {0, 100, 200, 300};
+  const std::vector<Point> points = TimeColumn({0, 100, 200, 300});
   std::string buf;
-  ASSERT_OK(EncodeTs2Diff(ts, &buf));
+  ASSERT_OK(EncodeTs2Diff(points.data(), points.size(), &buf));
   std::string truncated = buf.substr(0, buf.size() - 1);
   std::string_view view = truncated;
-  std::vector<Timestamp> decoded;
-  EXPECT_EQ(DecodeTs2Diff(&view, ts.size(), &decoded).code(),
+  std::vector<Point> decoded(points.size());
+  EXPECT_EQ(DecodeTs2Diff(&view, points.size(), decoded.data()).code(),
             StatusCode::kCorruption);
 }
 
 TEST(Ts2DiffTest, CorruptDeltaDetected) {
   // Hand-build a stream whose second delta drives the cadence negative.
+  const std::vector<Point> points = TimeColumn({0, 10, 20});
   std::string buf;
-  ASSERT_OK(EncodeTs2Diff({0, 10, 20}, &buf));
+  ASSERT_OK(EncodeTs2Diff(points.data(), points.size(), &buf));
   // Append a bogus decoded count: claim 4 points so the decoder reads into
   // garbage. The remaining bytes are empty -> corruption.
   std::string_view view = buf;
-  std::vector<Timestamp> decoded;
-  EXPECT_EQ(DecodeTs2Diff(&view, 4, &decoded).code(),
+  std::vector<Point> decoded(4);
+  EXPECT_EQ(DecodeTs2Diff(&view, 4, decoded.data()).code(),
             StatusCode::kCorruption);
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-PR gate: builds and tests every preset (default, tsan, asan),
-# re-runs the crash/fault torture suite standalone under asan, and lints
-# the metrics catalog and crash-point coverage against the docs/tests.
+# re-runs the crash/fault torture and codec suites standalone under asan,
+# and lints the metrics catalog and crash-point coverage against the
+# docs/tests.
 #
 # Usage: tools/ci.sh [preset ...]
 #   With no arguments all three presets run. Pass a subset (e.g.
@@ -33,6 +34,17 @@ for preset in "${presets[@]}"; do
   if [ "$preset" = "asan" ]; then
     echo "=== [asan] crash/fault torture ==="
     ctest --preset asan -L torture --output-on-failure
+  fi
+done
+
+# The codecs decode a word at a time: an over-read of a truncated or
+# corrupt block would stay silent without a sanitizer, so the codec label
+# (bit reader, codecs, pages, corruption fuzz loops) gets a standalone asan
+# pass too.
+for preset in "${presets[@]}"; do
+  if [ "$preset" = "asan" ]; then
+    echo "=== [asan] codecs ==="
+    ctest --preset asan -L codec --output-on-failure
   fi
 done
 
