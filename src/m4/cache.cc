@@ -25,7 +25,7 @@ obs::Counter& CacheMisses() {
 }  // namespace
 
 size_t M4QueryCache::KeyHash::operator()(const Key& key) const {
-  uint64_t h = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(key.store));
+  uint64_t h = key.store_id;
   auto mix = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
@@ -46,7 +46,7 @@ Result<M4Result> M4QueryCache::GetOrCompute(StoreView view,
                                             const M4LsmOptions& options,
                                             int parallelism) {
   TSVIZ_RETURN_IF_ERROR(query.Validate());
-  Key key{view.owner(), view.state_version(), query.tqs,
+  Key key{view.store_id(), view.state_version(), query.tqs,
           query.tqe,    query.w,              options.locate_strategy};
   {
     obs::TraceSpan probe(stats != nullptr ? stats->trace.get() : nullptr,

@@ -15,8 +15,8 @@
 
 namespace tsviz {
 
-// LRU cache of M4 results, keyed by the query geometry and the store's
-// state version — interactive dashboards repeat the same zoom levels, and a
+// LRU cache of M4 results, keyed by the query geometry and the store's id
+// and state version — interactive dashboards repeat the same zoom levels, and a
 // pan/zoom session revisits its history constantly. Any flush, delete or
 // compaction bumps the store's state version and implicitly invalidates
 // every cached result for it. Thread-safe.
@@ -29,9 +29,10 @@ class M4QueryCache {
 
   // Returns the cached result or computes it (via the pooled parallel
   // operator when `parallelism` > 1) and caches it. Takes a snapshot view
-  // (a TsStore converts implicitly) and keys on its owner + state version. `stats` (optional) is
-  // only charged on a miss — a hit costs no I/O; the probe itself shows up
-  // as a `cache_probe` span on the caller's trace.
+  // (a TsStore converts implicitly) and keys on its store id + state
+  // version. `stats` (optional) is only charged on a miss — a hit costs no
+  // I/O; the probe itself shows up as a `cache_probe` span on the caller's
+  // trace.
   Result<M4Result> GetOrCompute(StoreView view, const M4Query& query,
                                 QueryStats* stats,
                                 const M4LsmOptions& options = {},
@@ -50,7 +51,7 @@ class M4QueryCache {
 
  private:
   struct Key {
-    const TsStore* store;  // snapshot owner, used as identity only
+    uint64_t store_id;  // StoreView::store_id(), never reused
     uint64_t state_version;
     Timestamp tqs;
     Timestamp tqe;

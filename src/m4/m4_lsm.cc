@@ -49,11 +49,22 @@ struct SpanView {
 
   bool exact = false;            // live points materialized for this span
   std::vector<Point> live;       // live-under-deletes points inside the span
-  std::vector<uint32_t> by_value;  // indices into live, sorted by value asc
+  // Indices into live sorted by (value, time) asc; built on the first pop,
+  // since most loaded views never lose their bottom or top to an overwrite.
+  std::vector<uint32_t> by_value;
   size_t bottom_cursor = 0;      // consumed prefix of by_value (BP pops)
   size_t top_cursor = 0;         // consumed suffix of by_value (TP pops)
 
   Version version() const { return chunk->version(); }
+
+  void SortByValue() {
+    by_value.resize(live.size());
+    for (uint32_t i = 0; i < live.size(); ++i) by_value[i] = i;
+    std::sort(by_value.begin(), by_value.end(), [this](uint32_t a, uint32_t b) {
+      if (live[a].v != live[b].v) return live[a].v < live[b].v;
+      return live[a].t < live[b].t;
+    });
+  }
 };
 
 class M4LsmExecutor {
@@ -368,19 +379,19 @@ Status M4LsmExecutor::LoadExact(SpanView& view, const TimeRange& span) {
   view.first = TimeEntry{view.live.front(), /*tight=*/true};
   view.last = TimeEntry{view.live.back(), /*tight=*/true};
 
-  view.by_value.resize(view.live.size());
-  for (uint32_t i = 0; i < view.live.size(); ++i) view.by_value[i] = i;
-  std::sort(view.by_value.begin(), view.by_value.end(),
-            [&view](uint32_t a, uint32_t b) {
-              if (view.live[a].v != view.live[b].v) {
-                return view.live[a].v < view.live[b].v;
-              }
-              return view.live[a].t < view.live[b].t;
-            });
+  // One pass in time order: the earliest point of minimum value and the
+  // latest point of maximum value — the ends of the (value, time) order.
+  const Point* lo = &view.live.front();
+  const Point* hi = lo;
+  for (const Point& p : view.live) {
+    if (p.v < lo->v) lo = &p;
+    if (p.v >= hi->v) hi = &p;
+  }
+  view.by_value.clear();
   view.bottom_cursor = 0;
   view.top_cursor = 0;
-  view.bottom = view.live[view.by_value.front()];
-  view.top = view.live[view.by_value.back()];
+  view.bottom = *lo;
+  view.top = *hi;
   return Status::OK();
 }
 
@@ -444,13 +455,16 @@ Result<std::optional<Point>> M4LsmExecutor::SolveExtreme(
         // live point.
         if (view->bottom_cursor + view->top_cursor + 1 >= view->live.size()) {
           entry_of(*view).reset();
-        } else if (bottom) {
-          ++view->bottom_cursor;
-          view->bottom = view->live[view->by_value[view->bottom_cursor]];
         } else {
-          ++view->top_cursor;
-          view->top = view->live[view->by_value[view->by_value.size() - 1 -
-                                                view->top_cursor]];
+          if (view->by_value.empty()) view->SortByValue();
+          if (bottom) {
+            ++view->bottom_cursor;
+            view->bottom = view->live[view->by_value[view->bottom_cursor]];
+          } else {
+            ++view->top_cursor;
+            view->top = view->live[view->by_value[view->by_value.size() - 1 -
+                                                  view->top_cursor]];
+          }
         }
         progressed = true;
       } else {

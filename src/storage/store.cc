@@ -1,6 +1,7 @@
 #include "storage/store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,11 @@ namespace {
 
 // Data files are named f<id>.tsdat; ids increase with creation order.
 constexpr char kDataSuffix[] = ".tsdat";
+
+uint64_t NextStoreId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Result<uint64_t> ParseFileId(const std::string& name) {
   if (name.size() < 2 || name[0] != 'f') {
@@ -164,7 +170,7 @@ std::shared_ptr<const StoreState> TsStore::SnapshotState() const {
 
 void TsStore::PublishLocked(std::shared_ptr<StoreState> next) {
   RebuildDerived(next.get());
-  next->owner = this;
+  next->store_id = state_->store_id;
   next->state_version = state_->state_version + 1;
   state_ = std::move(next);
 }
@@ -216,7 +222,7 @@ Status TsStore::Recover() {
   }
 
   auto state = std::make_shared<StoreState>();
-  state->owner = this;
+  state->store_id = NextStoreId();
 
   // Collect data files per partition: root-level files form the legacy
   // (pre-partitioning) group, p<index>/ directories the indexed groups.

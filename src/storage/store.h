@@ -67,7 +67,10 @@ struct StoreState {
   std::vector<ChunkHandle> chunks;
   std::vector<DeleteRecord> deletes;
   uint64_t state_version = 0;
-  const TsStore* owner = nullptr;  // identity for result-cache keying
+  // Process-unique id of the owning TsStore, for result-cache keying. Never
+  // reused, unlike the store's address: a series dropped and re-created can
+  // get the old address back with a restarted state_version.
+  uint64_t store_id = 0;
 };
 
 // A consistent point-in-time view of one store, cheap to copy (one
@@ -91,7 +94,7 @@ class StoreView {
   }
   const std::vector<DeleteRecord>& deletes() const { return state_->deletes; }
   uint64_t state_version() const { return state_->state_version; }
-  const TsStore* owner() const { return state_->owner; }
+  uint64_t store_id() const { return state_->store_id; }
 
   // Union time interval across chunk metadata; empty range when no chunks.
   TimeRange DataInterval() const;

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "obs/recorder.h"
+#include "sql/executor.h"
 #include "storage/page_cache.h"
 #include "storage/quarantine.h"
 #include "test_util.h"
@@ -276,6 +277,43 @@ TEST(DatabaseTest, QueryM4PerSeries) {
   EXPECT_EQ(b_rows[0].bottom.v, -24.0);
   EXPECT_EQ(db->QueryM4("c", query, nullptr).status().code(),
             StatusCode::kNotFound);
+}
+
+// A dropped series' store can be freed and a re-created one allocated at
+// the same address with a restarted state version: a cached SELECT must
+// never serve the dropped store's results.
+TEST(DatabaseTest, CachedSelectAfterDropAndRecreateSeesNewData) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                       Database::Open(TestConfig(dir.path())));
+  const M4Query query{0, 100, 4};
+  for (int round = 1; round <= 4; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_OK(db->Write("s", i, round * (i % 7) - i));
+    }
+    ASSERT_OK(db->FlushAll());
+    ASSERT_OK_AND_ASSIGN(
+        sql::ResultSet cached,
+        sql::ExecuteQuery(db.get(),
+                          "SELECT M4(v) FROM s WHERE time >= 0 AND "
+                          "time < 100 GROUP BY SPANS(4)"));
+    ASSERT_OK_AND_ASSIGN(M4Result direct, db->QueryM4("s", query, nullptr));
+    ASSERT_EQ(cached.num_rows(), direct.size());
+    for (size_t i = 0; i < direct.size(); ++i) {
+      const std::vector<sql::ResultSet::Cell>& row = cached.rows()[i];
+      SCOPED_TRACE("round " + std::to_string(round) + " span " +
+                   std::to_string(i));
+      EXPECT_EQ(row[1], sql::ResultSet::Cell(direct[i].first.t));
+      EXPECT_EQ(row[2], sql::ResultSet::Cell(direct[i].first.v));
+      EXPECT_EQ(row[3], sql::ResultSet::Cell(direct[i].last.t));
+      EXPECT_EQ(row[4], sql::ResultSet::Cell(direct[i].last.v));
+      EXPECT_EQ(row[5], sql::ResultSet::Cell(direct[i].bottom.t));
+      EXPECT_EQ(row[6], sql::ResultSet::Cell(direct[i].bottom.v));
+      EXPECT_EQ(row[7], sql::ResultSet::Cell(direct[i].top.t));
+      EXPECT_EQ(row[8], sql::ResultSet::Cell(direct[i].top.v));
+    }
+    ASSERT_OK(db->DropSeries("s"));
+  }
 }
 
 }  // namespace

@@ -141,6 +141,49 @@ TEST(M4LsmTest, PaperExampleTpOverwritten) {
   ExpectAllAgree(*store, query);
 }
 
+// A span-split chunk loaded exactly keeps the (value, time) tie rule: its
+// bottom is the earliest point of minimum value and its top the latest
+// point of maximum value, and each overwrite pops the next one in that
+// order. Pins timestamps, which ResultsEquivalent does not compare.
+TEST(M4LsmTest, LoadedViewKeepsTieRuleAcrossPops) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path(), 30, 8)));
+  // C1 (v1): t = 0..29, straddling spans [0, 19] and [20, 39]. Its chunk
+  // extremes (-100 at t=25, 100 at t=26) lie in the second span, so the
+  // first span must load it. There the minimum -5 sits at t = 2, 5, 9, 14
+  // and the maximum 7 at t = 3, 6, 11, 17.
+  std::vector<Point> c1;
+  for (Timestamp t = 0; t < 30; ++t) c1.push_back(Point{t, 0.0});
+  for (Timestamp t : {2, 5, 9, 14}) c1[t].v = -5.0;
+  for (Timestamp t : {3, 6, 11, 17}) c1[t].v = 7.0;
+  c1[25].v = -100.0;
+  c1[26].v = 100.0;
+  ASSERT_OK(store->WriteAll(c1));
+  // C2 (v2): overwrites the first two bottoms and the first two tops in
+  // tie order, forcing two pops of each.
+  ASSERT_OK(store->WriteAll({{2, 1.0}, {5, 1.0}, {11, 1.0}, {17, 1.0}}));
+  ASSERT_OK(store->Flush());
+  ASSERT_EQ(store->chunks().size(), 2u);
+
+  M4Query query{0, 40, 2};
+  QueryStats stats;
+  ASSERT_OK_AND_ASSIGN(M4Result result, RunM4Lsm(*store, query, &stats));
+  EXPECT_GT(stats.chunks_loaded, 0u);
+  ASSERT_EQ(result.size(), 2u);
+  ASSERT_TRUE(result[0].has_data);
+  EXPECT_EQ(result[0].first, (Point{0, 0.0}));
+  EXPECT_EQ(result[0].last, (Point{19, 0.0}));
+  EXPECT_EQ(result[0].bottom, (Point{9, -5.0}));
+  EXPECT_EQ(result[0].top, (Point{6, 7.0}));
+  ASSERT_TRUE(result[1].has_data);
+  EXPECT_EQ(result[1].first, (Point{20, 0.0}));
+  EXPECT_EQ(result[1].last, (Point{29, 0.0}));
+  EXPECT_EQ(result[1].bottom, (Point{25, -100.0}));
+  EXPECT_EQ(result[1].top, (Point{26, 100.0}));
+  ExpectAllAgree(*store, query);
+}
+
 TEST(M4LsmTest, WholeChunkDeleted) {
   TempDir dir;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,

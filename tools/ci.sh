@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-PR gate: builds and tests every preset (default, tsan, asan),
 # re-runs the crash/fault torture and codec suites standalone under asan,
-# and lints the metrics catalog and crash-point coverage against the
-# docs/tests.
+# lints the metrics catalog and crash-point coverage against the
+# docs/tests, and runs the benchmark's tiny-scale self-test.
 #
 # Usage: tools/ci.sh [preset ...]
 #   With no arguments all three presets run. Pass a subset (e.g.
@@ -87,5 +87,10 @@ python3 tools/check_crashpoints.py
 
 echo "=== span taxonomy lint ==="
 python3 tools/check_spans.py
+
+# End to end over TCP: every benchmark workload at tiny scale, with the
+# sampled M4 replies checked against ReferenceM4 (about a minute).
+echo "=== perfbench self-test ==="
+python3 perfbench/selftest.py
 
 echo "ci.sh: all green (${presets[*]})"
