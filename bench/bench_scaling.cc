@@ -83,7 +83,7 @@ Measurement TimeRepeated(M4QueryCache& cache, const TsStore& store,
   for (int r = 0; r < kReps; ++r) {
     Measurement m;
     Timer timer;
-    Result<M4Result> result =
+    Result<M4QueryCache::Lookup> result =
         cache.GetOrCompute(store, query, &m.stats, {}, threads);
     m.millis = timer.ElapsedMillis();
     TSVIZ_CHECK(result.ok());

@@ -347,6 +347,7 @@ Status Database::DropSeriesLocal(const std::string& name) {
   // then release the last reference so its files close before the
   // directory is removed.
   if (maintenance_ != nullptr) maintenance_->Quiesce(name);
+  result_cache_.EraseStore(StoreView(*store).store_id());
   store.reset();
   std::error_code ec;
   fs::remove_all(config_.root_dir + "/" + name, ec);
@@ -803,8 +804,6 @@ Status Database::WipeForResync() {
       return status;
     }
   }
-  // Drop cached results that could otherwise serve wiped data.
-  result_cache_.Clear();
   return Status::OK();
 }
 

@@ -40,25 +40,27 @@ size_t M4QueryCache::KeyHash::operator()(const Key& key) const {
   return static_cast<size_t>(h);
 }
 
-Result<M4Result> M4QueryCache::GetOrCompute(StoreView view,
-                                            const M4Query& query,
-                                            QueryStats* stats,
-                                            const M4LsmOptions& options,
-                                            int parallelism) {
+Result<M4QueryCache::Lookup> M4QueryCache::GetOrCompute(
+    StoreView view, const M4Query& query, QueryStats* stats,
+    const M4LsmOptions& options, int parallelism) {
   TSVIZ_RETURN_IF_ERROR(query.Validate());
-  Key key{view.store_id(), view.state_version(), query.tqs,
-          query.tqe,    query.w,              options.locate_strategy};
+  Lookup lookup;
+  lookup.key = Key{view.store_id(), view.state_version(), query.tqs,
+                   query.tqe, query.w, options.locate_strategy};
   {
     obs::TraceSpan probe(stats != nullptr ? stats->trace.get() : nullptr,
                          "cache_probe");
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
+    auto it = index_.find(lookup.key);
     if (it != index_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       CacheHits().Inc();
       lru_.splice(lru_.begin(), lru_, it->second);  // bump to front
       if (stats != nullptr && it->second->degraded) stats->degraded = true;
-      return it->second->result;
+      lookup.result = it->second->result;
+      lookup.text = it->second->text;
+      lookup.hit = true;
+      return lookup;
     }
   }
 
@@ -74,19 +76,45 @@ Result<M4Result> M4QueryCache::GetOrCompute(StoreView view,
                        &local, options));
   local.trace.reset();
   if (stats != nullptr) *stats += local;
+  lookup.result = std::make_shared<const M4Result>(std::move(result));
   std::lock_guard<std::mutex> lock(mutex_);
   misses_.fetch_add(1, std::memory_order_relaxed);
   CacheMisses().Inc();
-  auto it = index_.find(key);
-  if (it == index_.end() && capacity_ > 0) {
-    lru_.emplace_front(Entry{key, result, local.degraded});
-    index_[key] = lru_.begin();
-    while (lru_.size() > capacity_) {
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
+  if (capacity_ > 0 && !index_.contains(lookup.key)) {
+    lru_.emplace_front(
+        Entry{lookup.key, lookup.result, local.degraded, nullptr});
+    index_[lookup.key] = lru_.begin();
+    EvictToCapacity();
+  }
+  return lookup;
+}
+
+void M4QueryCache::KeepText(const Lookup& lookup,
+                            std::shared_ptr<const std::string> text) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(lookup.key);
+  if (it != index_.end() && it->second->result == lookup.result) {
+    it->second->text = std::move(text);
+  }
+}
+
+void M4QueryCache::EraseStore(uint64_t store_id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->key.store_id == store_id) {
+      index_.erase(it->key);
+      it = lru_.erase(it);
+    } else {
+      ++it;
     }
   }
-  return result;
+}
+
+void M4QueryCache::EvictToCapacity() {
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
 }
 
 size_t M4QueryCache::size() const {
@@ -97,10 +125,7 @@ size_t M4QueryCache::size() const {
 void M4QueryCache::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
+  EvictToCapacity();
 }
 
 size_t M4QueryCache::capacity() const {

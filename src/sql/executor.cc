@@ -348,17 +348,22 @@ Result<ResultSet> ExecuteSelectImpl(const StoreView& view,
   TSVIZ_RETURN_IF_ERROR(query.Validate());
   SpanSet spans(query);
 
-  M4Result m4;
+  M4QueryCache::Lookup m4;
   if (any_m4) {
     if (options.result_cache != nullptr) {
       TSVIZ_ASSIGN_OR_RETURN(
           m4, options.result_cache->GetOrCompute(view, query, stats, {},
                                                  options.parallelism));
-    } else if (options.parallelism > 1) {
-      TSVIZ_ASSIGN_OR_RETURN(
-          m4, RunM4LsmParallel(view, query, options.parallelism, stats));
     } else {
-      TSVIZ_ASSIGN_OR_RETURN(m4, RunM4Lsm(view, query, stats));
+      M4Result computed;
+      if (options.parallelism > 1) {
+        TSVIZ_ASSIGN_OR_RETURN(
+            computed,
+            RunM4LsmParallel(view, query, options.parallelism, stats));
+      } else {
+        TSVIZ_ASSIGN_OR_RETURN(computed, RunM4Lsm(view, query, stats));
+      }
+      m4.result = std::make_shared<const M4Result>(std::move(computed));
     }
   }
   ScanAggregates scan;
@@ -377,40 +382,60 @@ Result<ResultSet> ExecuteSelectImpl(const StoreView& view,
     }
   }
 
-  ResultSet result(std::move(columns));
-  for (int64_t i = 0; i < spans.num_spans(); ++i) {
-    std::vector<ResultSet::Cell> cells;
-    cells.reserve(kinds.size() + 1);
-    cells.emplace_back(spans.SpanStart(i));
-    size_t si = static_cast<size_t>(i);
-    for (FuncKind kind : kinds) {
-      switch (kind) {
-        case FuncKind::kCount:
-          cells.emplace_back(static_cast<int64_t>(scan.counts[si]));
-          break;
-        case FuncKind::kSum:
-          if (scan.counts[si] == 0) {
-            cells.emplace_back(std::monostate{});
-          } else {
-            cells.emplace_back(scan.sums[si]);
-          }
-          break;
-        case FuncKind::kAvg:
-          if (scan.counts[si] == 0) {
-            cells.emplace_back(std::monostate{});
-          } else {
-            cells.emplace_back(scan.sums[si] /
-                               static_cast<double>(scan.counts[si]));
-          }
-          break;
-        default:
-          cells.push_back(M4Cell(m4[si], kind));
-          break;
+  // Cells are built only when a caller reads them (ToCsv on a miss, rows()).
+  ResultSet::RowBuilder build = [spans, kinds, m4 = m4.result,
+                                 scan = std::move(scan)] {
+    std::vector<ResultSet::Row> rows;
+    rows.reserve(static_cast<size_t>(spans.num_spans()));
+    for (int64_t i = 0; i < spans.num_spans(); ++i) {
+      ResultSet::Row& cells = rows.emplace_back();
+      cells.reserve(kinds.size() + 1);
+      cells.emplace_back(spans.SpanStart(i));
+      size_t si = static_cast<size_t>(i);
+      for (FuncKind kind : kinds) {
+        switch (kind) {
+          case FuncKind::kCount:
+            cells.emplace_back(static_cast<int64_t>(scan.counts[si]));
+            break;
+          case FuncKind::kSum:
+            if (scan.counts[si] == 0) {
+              cells.emplace_back(std::monostate{});
+            } else {
+              cells.emplace_back(scan.sums[si]);
+            }
+            break;
+          case FuncKind::kAvg:
+            if (scan.counts[si] == 0) {
+              cells.emplace_back(std::monostate{});
+            } else {
+              cells.emplace_back(scan.sums[si] /
+                                 static_cast<double>(scan.counts[si]));
+            }
+            break;
+          default:
+            cells.push_back(M4Cell((*m4)[si], kind));
+            break;
+        }
       }
     }
-    result.AddRow(std::move(cells));
+    return rows;
+  };
+  const size_t num_rows = static_cast<size_t>(spans.num_spans());
+  // Only a pure-M4 hit is answered from the cache entry's text: the scan
+  // part of a mixed select is not cached, and a miss renders nothing extra.
+  // The entry's text is rendered on its first hit, and again when it was
+  // rendered for another column header.
+  std::shared_ptr<const std::string> csv;
+  if (m4.hit && !any_scan) {
+    csv = m4.text;
+    if (csv == nullptr || !csv->starts_with(ResultSet::CsvHeader(columns))) {
+      csv = std::make_shared<const std::string>(
+          ResultSet(columns, num_rows, build).ToCsv());
+      options.result_cache->KeepText(m4, csv);
+    }
   }
-  return result;
+  return ResultSet(std::move(columns), num_rows, std::move(build),
+                   std::move(csv));
 }
 
 }  // namespace

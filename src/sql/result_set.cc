@@ -7,9 +7,34 @@
 
 namespace tsviz::sql {
 
-void ResultSet::AddRow(std::vector<Cell> cells) {
+ResultSet::ResultSet(std::vector<std::string> columns, size_t num_rows,
+                     RowBuilder build, std::shared_ptr<const std::string> csv)
+    : columns_(std::move(columns)),
+      build_(std::move(build)),
+      pending_rows_(num_rows),
+      csv_(std::move(csv)) {}
+
+const std::vector<ResultSet::Row>& ResultSet::rows() const {
+  if (build_) {
+    rows_ = build_();
+    build_ = nullptr;
+    TSVIZ_CHECK(rows_.size() == pending_rows_);
+  }
+  return rows_;
+}
+
+void ResultSet::AddRow(Row cells) {
   TSVIZ_CHECK(cells.size() == columns_.size());
+  rows();  // builds pending rows, which the new one follows
+  csv_.reset();
   rows_.push_back(std::move(cells));
+}
+
+void ResultSet::Truncate(size_t n) {
+  if (num_rows() <= n) return;
+  rows();  // builds pending rows, then drops some
+  csv_.reset();
+  rows_.resize(n);
 }
 
 void ResultSet::AppendCell(const Cell& cell, std::string* out) {
@@ -42,17 +67,18 @@ std::string ResultSet::CellToString(const Cell& cell) {
 }
 
 std::string ResultSet::ToString(size_t max_rows) const {
+  const std::vector<Row>& rows = this->rows();
   std::vector<size_t> widths(columns_.size());
   std::vector<std::vector<std::string>> printable;
-  printable.reserve(std::min(rows_.size(), max_rows));
+  printable.reserve(std::min(rows.size(), max_rows));
   for (size_t c = 0; c < columns_.size(); ++c) {
     widths[c] = columns_[c].size();
   }
-  for (size_t r = 0; r < rows_.size() && r < max_rows; ++r) {
+  for (size_t r = 0; r < rows.size() && r < max_rows; ++r) {
     std::vector<std::string> cells;
     cells.reserve(columns_.size());
     for (size_t c = 0; c < columns_.size(); ++c) {
-      cells.push_back(CellToString(rows_[r][c]));
+      cells.push_back(CellToString(rows[r][c]));
       widths[c] = std::max(widths[c], cells.back().size());
     }
     printable.push_back(std::move(cells));
@@ -73,21 +99,27 @@ std::string ResultSet::ToString(size_t max_rows) const {
   }
   out += '\n';
   for (const auto& cells : printable) append_row(cells);
-  if (rows_.size() > max_rows) {
-    out += "... (" + std::to_string(rows_.size() - max_rows) +
+  if (rows.size() > max_rows) {
+    out += "... (" + std::to_string(rows.size() - max_rows) +
            " more rows)\n";
   }
   return out;
 }
 
-std::string ResultSet::ToCsv() const {
+std::string ResultSet::CsvHeader(const std::vector<std::string>& columns) {
   std::string out;
-  for (size_t c = 0; c < columns_.size(); ++c) {
+  for (size_t c = 0; c < columns.size(); ++c) {
     if (c > 0) out += ',';
-    out += columns_[c];
+    out += columns[c];
   }
   out += '\n';
-  for (const auto& row : rows_) {
+  return out;
+}
+
+std::string ResultSet::ToCsv() const {
+  if (csv_ != nullptr) return *csv_;
+  std::string out = CsvHeader(columns_);
+  for (const Row& row : rows()) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out += ',';
       AppendCell(row[c], &out);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "test_util.h"
 
@@ -35,18 +36,61 @@ TEST_F(CacheTest, HitAvoidsAllIo) {
   M4QueryCache cache(8);
   M4Query query{0, 5000, 7};
   QueryStats first_stats;
-  ASSERT_OK_AND_ASSIGN(M4Result first,
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup first,
                        cache.GetOrCompute(*store_, query, &first_stats));
+  EXPECT_FALSE(first.hit);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_GT(first_stats.metadata_reads, 0u);
 
   QueryStats second_stats;
-  ASSERT_OK_AND_ASSIGN(M4Result second,
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup second,
                        cache.GetOrCompute(*store_, query, &second_stats));
+  EXPECT_TRUE(second.hit);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(second_stats.metadata_reads, 0u);  // untouched on a hit
   EXPECT_EQ(second_stats.bytes_read, 0u);
-  EXPECT_TRUE(ResultsEquivalent(first, second));
+  EXPECT_EQ(second.result, first.result);  // shared, not copied
+}
+
+TEST_F(CacheTest, TextIsKeptOnlyForTheCachedResult) {
+  M4QueryCache cache(8);
+  M4Query query{0, 5000, 4};
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup miss,
+                       cache.GetOrCompute(*store_, query, nullptr));
+  EXPECT_EQ(miss.text, nullptr);
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup hit,
+                       cache.GetOrCompute(*store_, query, nullptr));
+  EXPECT_EQ(hit.text, nullptr);  // nothing rendered yet
+  cache.KeepText(hit, std::make_shared<const std::string>("text"));
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup rendered,
+                       cache.GetOrCompute(*store_, query, nullptr));
+  ASSERT_NE(rendered.text, nullptr);
+  EXPECT_EQ(*rendered.text, "text");
+
+  // Text rendered from a result the entry does not hold is not kept.
+  M4QueryCache::Lookup stale = rendered;
+  stale.result = std::make_shared<const M4Result>(*rendered.result);
+  cache.KeepText(stale, std::make_shared<const std::string>("stale"));
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup again,
+                       cache.GetOrCompute(*store_, query, nullptr));
+  ASSERT_NE(again.text, nullptr);
+  EXPECT_EQ(*again.text, "text");
+}
+
+TEST_F(CacheTest, EraseStoreDropsOnlyThatStoresEntries) {
+  TempDir other_dir;
+  ASSERT_OK_AND_ASSIGN(auto other, TsStore::Open(TestConfig(other_dir.path())));
+  ASSERT_OK(other->WriteAll(MakeLinearSeries(500, 0, 10)));
+  ASSERT_OK(other->Flush());
+  M4QueryCache cache(8);
+  ASSERT_OK(cache.GetOrCompute(*store_, M4Query{0, 5000, 4}, nullptr).status());
+  ASSERT_OK(cache.GetOrCompute(*store_, M4Query{0, 5000, 5}, nullptr).status());
+  ASSERT_OK(cache.GetOrCompute(*other, M4Query{0, 5000, 4}, nullptr).status());
+  EXPECT_EQ(cache.size(), 3u);
+  cache.EraseStore(StoreView(*store_).store_id());
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_OK(cache.GetOrCompute(*other, M4Query{0, 5000, 4}, nullptr).status());
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST_F(CacheTest, DifferentGeometriesMissIndependently) {
@@ -68,10 +112,10 @@ TEST_F(CacheTest, WritesInvalidate) {
   // A new flush changes the answer; the stale entry must not be served.
   ASSERT_OK(store_->Write(100, 99999.0));
   ASSERT_OK(store_->Flush());
-  ASSERT_OK_AND_ASSIGN(M4Result fresh,
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup fresh,
                        cache.GetOrCompute(*store_, query, nullptr));
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(fresh[0].top.v, 99999.0);
+  EXPECT_EQ((*fresh.result)[0].top.v, 99999.0);
 }
 
 TEST_F(CacheTest, DeletesAndCompactionInvalidate) {
@@ -79,10 +123,10 @@ TEST_F(CacheTest, DeletesAndCompactionInvalidate) {
   M4Query query{0, 5000, 4};
   ASSERT_OK(cache.GetOrCompute(*store_, query, nullptr).status());
   ASSERT_OK(store_->DeleteRange(TimeRange(0, 1000)));
-  ASSERT_OK_AND_ASSIGN(M4Result after_delete,
+  ASSERT_OK_AND_ASSIGN(M4QueryCache::Lookup after_delete,
                        cache.GetOrCompute(*store_, query, nullptr));
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_GT(after_delete[0].first.t, 1000);
+  EXPECT_GT((*after_delete.result)[0].first.t, 1000);
   ASSERT_OK(store_->Compact());
   ASSERT_OK(cache.GetOrCompute(*store_, query, nullptr).status());
   EXPECT_EQ(cache.misses(), 3u);

@@ -316,5 +316,24 @@ TEST(DatabaseTest, CachedSelectAfterDropAndRecreateSeesNewData) {
   }
 }
 
+TEST(DatabaseTest, DropSeriesEvictsItsCachedResults) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                       Database::Open(TestConfig(dir.path())));
+  for (int i = 0; i < 100; ++i) ASSERT_OK(db->Write("s", i, i % 7));
+  ASSERT_OK(db->FlushAll());
+  for (const char* spans : {"4", "5"}) {
+    ASSERT_OK(sql::ExecuteQuery(db.get(),
+                                std::string("SELECT M4(v) FROM s WHERE "
+                                            "time >= 0 AND time < 100 GROUP "
+                                            "BY SPANS(") +
+                                    spans + ")")
+                  .status());
+  }
+  EXPECT_EQ(db->result_cache().size(), 2u);
+  ASSERT_OK(db->DropSeries("s"));
+  EXPECT_EQ(db->result_cache().size(), 0u);
+}
+
 }  // namespace
 }  // namespace tsviz

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -92,6 +93,41 @@ TEST(ResultSetTest, CsvAndTableRenderCellsLikeCellToString) {
             "-------------------  -------  ----  ----  \n"
             "-7                   0.1      text  null  \n"
             "9223372036854775807  -1e-300        inf   \n");
+}
+
+// Rows made on demand are built once, only when cells are read; shared CSV
+// text is returned as is until a row change drops it.
+TEST(ResultSetTest, OnDemandRowsAndSharedCsv) {
+  int builds = 0;
+  auto build = [&builds] {
+    ++builds;
+    return std::vector<ResultSet::Row>{{ResultSet::Cell(int64_t{1})},
+                                       {ResultSet::Cell(int64_t{2})}};
+  };
+  ResultSet rendered({"n"}, 2, build);
+  const std::string csv = rendered.ToCsv();
+  EXPECT_EQ(csv, "n\n1\n2\n");
+  EXPECT_EQ(builds, 1);
+
+  // With shared text, ToCsv builds nothing; rows() builds once on demand.
+  auto shared = std::make_shared<const std::string>(csv);
+  ResultSet result({"n"}, 2, build, shared);
+  EXPECT_EQ(result.num_rows(), 2u);
+  EXPECT_EQ(result.ToCsv(), csv);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(result.rows()[1][0], ResultSet::Cell(int64_t{2}));
+  EXPECT_EQ(result.rows().size(), 2u);
+  EXPECT_EQ(builds, 2);
+
+  ResultSet truncated({"n"}, 2, build, shared);
+  truncated.Truncate(2);  // keeps every row: the text still holds
+  EXPECT_EQ(builds, 2);
+  truncated.Truncate(1);
+  EXPECT_EQ(truncated.ToCsv(), "n\n1\n");
+  ResultSet appended({"n"}, 2, build, shared);
+  appended.AddRow({ResultSet::Cell(int64_t{3})});
+  EXPECT_EQ(appended.ToCsv(), "n\n1\n2\n3\n");
+  EXPECT_EQ(builds, 4);
 }
 
 }  // namespace

@@ -6,12 +6,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "sql/executor.h"
+#include "sql/parser.h"
 #include "test_util.h"
 
 namespace tsviz {
@@ -272,6 +277,62 @@ TEST_F(ServerTest, PipelinedStatementsInOneSendAnswerInOrder) {
   EXPECT_NE(client.ReadReply().find("99"), std::string::npos);
 }
 
+// Repeats of one SELECT are result-cache hits: the first renders the
+// cached entry's reply text, the next ones send it as is.
+TEST_F(ServerTest, RepeatedSelectRepliesAreByteIdentical) {
+  TestClient client(server_->port());
+  const std::string statement =
+      "SELECT M4(v) FROM s1 WHERE time >= 0 AND time < 1000 GROUP BY "
+      "SPANS(9)";
+  std::vector<std::string> replies;
+  for (int i = 0; i < 3; ++i) {
+    client.Send(statement);
+    replies.push_back(client.ReadReply());
+  }
+  EXPECT_NE(replies[0].find("span_start,FIRST_TIME(v)"), std::string::npos)
+      << replies[0];
+  EXPECT_EQ(replies[1], replies[0]);
+  EXPECT_EQ(replies[2], replies[0]);
+  EXPECT_EQ(db_->result_cache().hits(), 2u);
+}
+
+// Four connections hit one cached entry whose reply text is not rendered
+// yet, so the first hits race to render and keep it. Every reply must be
+// the uncached reply. Labeled `cache` so CI re-runs it under tsan.
+TEST_F(ServerTest, ConcurrentHitsOnAnUnrenderedEntryAgree) {
+  const std::string statement =
+      "SELECT M4(v) FROM s1 WHERE time >= 0 AND time < 1000 GROUP BY "
+      "SPANS(13)";
+  ASSERT_OK_AND_ASSIGN(sql::Statement parsed,
+                       sql::ParseStatement(statement));
+  ASSERT_OK_AND_ASSIGN(TsStore * store, db_->GetSeries("s1"));
+  ASSERT_OK_AND_ASSIGN(
+      sql::ResultSet uncached,
+      sql::ExecuteSelect(*store, std::get<sql::SelectStatement>(parsed)));
+  const std::string want = uncached.ToCsv();
+  ASSERT_OK(sql::ExecuteQuery(db_.get(), statement).status());  // a miss
+
+  constexpr int kClients = 4;
+  constexpr int kRepeats = 200;
+  std::vector<int> mismatches(kClients, 0);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      TestClient client(server_->port());
+      for (int r = 0; r < kRepeats; ++r) {
+        client.Send(statement);
+        if (client.ReadReply() != want) ++mismatches[c];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(mismatches[c], 0) << "client " << c;
+  }
+  EXPECT_EQ(db_->result_cache().hits(),
+            static_cast<uint64_t>(kClients * kRepeats));
+}
+
 TEST_F(ServerTest, InsertOverTheWire) {
   TestClient client(server_->port());
   client.Send("INSERT INTO wired VALUES (10, 1.5), (20, 2.5), (30, -1)");
@@ -336,6 +397,57 @@ TEST(ServerLifecycleTest, ThreadPerConnModeServesTheSameProtocol) {
   EXPECT_NE(client.ReadReply().find("10"), std::string::npos);
   client.Send("INSERT INTO s1 VALUES (100, 42)");
   EXPECT_NE(client.ReadReply().find("s1,1"), std::string::npos);
+  server.Stop();
+}
+
+// A follower's cached replies still end with their own replica_lag_ms row:
+// the lag is appended per reply, never kept in the cached text.
+TEST(ServerReplicaTest, CachedFollowerRepliesEndWithTheLagRow) {
+  TempDir primary_dir;
+  TempDir follower_dir;
+  DatabaseConfig config;
+  config.series_defaults.points_per_chunk = 50;
+  config.root_dir = primary_dir.path();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> primary,
+                       Database::Open(config));
+  ASSERT_OK(primary->EnablePrimary(0));
+  ASSERT_OK(primary->WriteBatch("temp", {{1, 1.0}, {2, 5.0}, {3, 3.0}}));
+  config.root_dir = follower_dir.path();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> follower,
+                       Database::Open(config));
+  ASSERT_OK(follower->EnableReplica("127.0.0.1", primary->repl_port()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  auto caught_up = [&] {
+    return follower->replication_status().state == "STREAMING" &&
+           follower->replication_status().last_seq ==
+               primary->replication_status().last_seq;
+  };
+  while (!caught_up() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(caught_up());
+  ASSERT_OK(follower->FlushAll());
+
+  SqlServer server(follower.get());
+  ASSERT_OK(server.Start(0));
+  TestClient client(server.port());
+  std::string first_body;
+  for (int i = 0; i < 3; ++i) {
+    client.Send("SELECT M4(v) FROM temp GROUP BY SPANS(2)");
+    const std::string reply = client.ReadReply();
+    const size_t lag = reply.rfind("\nreplica_lag_ms,");
+    ASSERT_NE(lag, std::string::npos) << reply;
+    EXPECT_EQ(reply.find('\n', lag + 1), reply.size() - 1) << reply;
+    const std::string body = reply.substr(0, lag + 1);
+    EXPECT_EQ(body.rfind("span_start,", 0), 0u) << reply;
+    if (i == 0) {
+      first_body = body;
+    } else {
+      EXPECT_EQ(body, first_body);
+    }
+  }
+  EXPECT_EQ(follower->result_cache().hits(), 2u);
   server.Stop();
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -14,6 +15,8 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "sql/parser.h"
+#include "storage/file_reader.h"
 #include "storage/quarantine.h"
 #include "test_util.h"
 
@@ -334,6 +337,156 @@ TEST_F(SqlExecutorTest, WritesInvalidateTheResultCache) {
   ASSERT_OK_AND_ASSIGN(ResultSet after,
                        ExecuteQuery(db_.get(), statement, &stats));
   EXPECT_NE(after.ToCsv(), before.ToCsv());  // sees the new point
+}
+
+// Every reply of a result-cache hit must be the reply an uncached run of
+// the same statement gives. The two statements share one cache entry (same
+// geometry) but not one header, and each runs twice in a row per round, so
+// hits both render and reuse the entry's text.
+TEST_F(SqlExecutorTest, CachedRepliesMatchUncachedAcrossHeaders) {
+  const std::string tail =
+      " FROM s1 WHERE time >= 0 AND time < 2000 GROUP BY SPANS(7)";
+  const std::vector<std::string> statements = {
+      "SELECT M4(v)" + tail, "SELECT FIRST_VALUE(v), TOP_VALUE(v)" + tail};
+  ASSERT_OK_AND_ASSIGN(TsStore * store, db_->GetSeries("s1"));
+  std::vector<std::vector<std::vector<ResultSet::Cell>>> miss_rows(2);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < statements.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(Statement parsed, ParseStatement(statements[i]));
+      ASSERT_OK_AND_ASSIGN(
+          ResultSet uncached,
+          ExecuteSelect(*store, std::get<SelectStatement>(parsed), nullptr,
+                        ExecOptions{}));
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        SCOPED_TRACE(statements[i] + " round " + std::to_string(round) +
+                     " repeat " + std::to_string(repeat));
+        ASSERT_OK_AND_ASSIGN(ResultSet cached,
+                             ExecuteQuery(db_.get(), statements[i]));
+        EXPECT_EQ(cached.ToCsv(), uncached.ToCsv());
+        EXPECT_EQ(cached.num_rows(), 7u);
+        if (miss_rows[i].empty()) {
+          miss_rows[i] = cached.rows();
+        } else {
+          EXPECT_EQ(cached.rows(), miss_rows[i]);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(db_->result_cache().size(), 1u);
+  EXPECT_EQ(db_->result_cache().misses(), 1u);
+  EXPECT_EQ(db_->result_cache().hits(), 11u);
+}
+
+// LIMIT and rows() on a hit that carries the entry's text.
+TEST_F(SqlExecutorTest, LimitOnACachedHitTruncatesTheReply) {
+  const std::string statement =
+      "SELECT M4(v) FROM s1 WHERE time >= 0 AND time < 2000 "
+      "GROUP BY SPANS(8)";
+  for (int i = 0; i < 3; ++i) MustQuery(statement);  // render the entry
+  ResultSet full = MustQuery(statement);
+  ResultSet limited = MustQuery(statement + " LIMIT 3");
+  ASSERT_EQ(limited.num_rows(), 3u);
+  const std::string full_csv = full.ToCsv();
+  std::string want = full_csv.substr(0, full_csv.find('\n') + 1);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(limited.rows()[r], full.rows()[r]);
+    for (size_t c = 0; c < full.columns().size(); ++c) {
+      want += (c > 0 ? "," : "") + ResultSet::CellToString(full.rows()[r][c]);
+    }
+    want += "\n";
+  }
+  EXPECT_EQ(limited.ToCsv(), want);
+  EXPECT_EQ(MustQuery(statement + " LIMIT 100").ToCsv(), full_csv);
+}
+
+// A select that mixes in COUNT/SUM/AVG scans on every run; only its M4 part
+// comes from the cache, so its reply follows the data.
+TEST_F(SqlExecutorTest, MixedSelectOnACachedEntryFollowsTheData) {
+  const std::string statement =
+      "SELECT COUNT(v), MAX(v) FROM s1 WHERE time >= 0 AND time < 6000 "
+      "GROUP BY SPANS(3)";
+  ASSERT_OK_AND_ASSIGN(Statement parsed, ParseStatement(statement));
+  const SelectStatement& select = std::get<SelectStatement>(parsed);
+  std::string before;
+  for (int phase = 0; phase < 2; ++phase) {
+    ASSERT_OK_AND_ASSIGN(TsStore * store, db_->GetSeries("s1"));
+    ASSERT_OK_AND_ASSIGN(ResultSet uncached,
+                         ExecuteSelect(*store, select, nullptr, ExecOptions{}));
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(MustQuery(statement).ToCsv(), uncached.ToCsv())
+          << "phase " << phase << " repeat " << repeat;
+    }
+    if (phase == 0) {
+      before = uncached.ToCsv();
+      ASSERT_OK(db_->Write("s1", 5000, 999.0));
+      ASSERT_OK(db_->FlushAll());
+    } else {
+      EXPECT_NE(uncached.ToCsv(), before);  // the flush is visible
+    }
+  }
+  EXPECT_GE(db_->result_cache().hits(), 4u);
+}
+
+// An entry computed while a corrupt chunk was quarantined keeps reporting
+// degraded on every hit, including hits answered from the entry's text.
+TEST(SqlExecutorCacheTest, DegradedEntryStaysDegradedOnRenderedHits) {
+  TempDir dir;
+  DatabaseConfig config;
+  config.root_dir = dir.path();
+  config.series_defaults.points_per_chunk = 50;
+  config.series_defaults.memtable_flush_threshold = 100000;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open(config));
+    for (int64_t t = 0; t < 200; ++t) {
+      ASSERT_OK(db->Write("s", t, static_cast<double>(t)));
+    }
+    ASSERT_OK(db->FlushAll());
+  }
+  std::string path;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir.path())) {
+    if (entry.path().extension() == ".tsdat") path = entry.path().string();
+  }
+  ASSERT_FALSE(path.empty());
+  uint64_t corrupt_offset = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<FileReader> reader,
+                         FileReader::Open(path));
+    ASSERT_EQ(reader->chunks().size(), 4u);
+    const ChunkMetadata& victim = reader->chunks()[2];
+    corrupt_offset = victim.data_offset + victim.data_length / 2;
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(corrupt_offset));
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0xff);
+    f.seekp(static_cast<std::streamoff>(corrupt_offset));
+    f.write(&c, 1);
+  }
+
+  ChunkQuarantine::Instance().Clear();
+  SetReadTolerance(ReadTolerance::kDegrade);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open(config));
+  // 7 spans misalign with the 50-point chunks, so M4-LSM must decode the
+  // corrupt page.
+  const std::string statement =
+      "SELECT M4(v) FROM s WHERE time >= 0 AND time < 200 GROUP BY SPANS(7)";
+  std::string first_csv;
+  for (int run = 0; run < 4; ++run) {
+    QueryStats stats;
+    ASSERT_OK_AND_ASSIGN(ResultSet result,
+                         ExecuteQuery(db.get(), statement, &stats));
+    EXPECT_TRUE(stats.degraded) << "run " << run;
+    if (run == 0) {
+      first_csv = result.ToCsv();
+    } else {
+      EXPECT_EQ(result.ToCsv(), first_csv) << "run " << run;
+    }
+  }
+  EXPECT_EQ(db->result_cache().hits(), 3u);
+  ChunkQuarantine::Instance().Clear();
 }
 
 TEST_F(SqlExecutorTest, ExplainAnalyzeRepeatShowsCacheProbeNoPageLoad) {

@@ -68,6 +68,17 @@ for preset in "${presets[@]}"; do
   fi
 done
 
+# The M4 result cache: entries are shared across connections, and the
+# first hits of an entry race to render and keep its reply text, so the
+# cache label (cache_test plus the server's concurrent-hits case) gets a
+# standalone tsan pass too.
+for preset in "${presets[@]}"; do
+  if [ "$preset" = "tsan" ]; then
+    echo "=== [tsan] result cache ==="
+    ctest --preset tsan -L cache --output-on-failure
+  fi
+done
+
 # Replication: the relay workers, applier thread, heartbeat and client
 # reads all race, so the repl label gets a standalone tsan pass; the
 # fork-kill replication torture additionally carries the torture label, so
